@@ -13,11 +13,21 @@ over threads):
 3. end-of-team combine over thread partials, then a final combine over
    team partials (deterministic team order).
 
-For integers the result is exactly ``sum mod 2**bits`` regardless of the
-geometry (modular addition is associative); for floats different geometries
-legitimately produce slightly different roundings, which the verification
-layer treats with a relative tolerance — the same situation as on real
-hardware.
+The chunk boundaries are a closed-form lattice: every active team but the
+last owns exactly ``ceil(team_iters / thread_iters)`` threads, so thread
+starts are the row-major ``(team, thread)`` grid cut to the active thread
+count, and team starts are multiples of that per-team count.
+
+When R is an integer the grouping cannot matter: every identifier the
+executor lowers (``+ - * & | ^ && || min max dot``) is associative and
+commutative under two's-complement wraparound, so any grouping yields the
+same bits and the reduction runs as one flat ``ufunc.reduce`` in R.  For
+floats different geometries legitimately produce slightly different
+roundings, which the verification layer treats with a relative tolerance —
+the same situation as on real hardware — so the hierarchy is kept; only
+levels that cannot regroup anything are skipped (one-element thread chunks
+are a cast to R, one-thread teams pass their partials through, and with one
+element per team no chunk boundaries are built at all).
 """
 
 from __future__ import annotations
@@ -69,7 +79,8 @@ def thread_chunk_starts(
     Returns ``(thread_starts, team_starts)``: element offsets where each
     *active* thread's contiguous chunk begins, and the positions (indices
     into ``thread_starts``) where each active team's group of threads
-    begins.  Both arrays are sorted and non-empty for ``n_elements > 0``.
+    begins.  Both arrays are strictly increasing and non-empty for
+    ``n_elements > 0``.
     """
     if n_elements <= 0:
         raise ValueError(f"n_elements must be positive, got {n_elements}")
@@ -77,15 +88,21 @@ def thread_chunk_starts(
     team_iters = -(-trip // grid)
     n_active_teams = -(-trip // team_iters)
     thread_iters = -(-team_iters // block)
-    per_team = np.arange(0, team_iters, thread_iters, dtype=np.int64)
-    starts_iter = (
-        np.arange(n_active_teams, dtype=np.int64)[:, None] * team_iters
-        + per_team[None, :]
-    ).ravel()
-    starts_iter = starts_iter[starts_iter < trip]
-    team_first_iter = np.arange(n_active_teams, dtype=np.int64) * team_iters
-    team_starts = np.searchsorted(starts_iter, team_first_iter)
-    return starts_iter * v, team_starts
+    threads_per_team = -(-team_iters // thread_iters)
+    # Only the last team can be short; its threads are a prefix of its row.
+    last_team_iters = trip - (n_active_teams - 1) * team_iters
+    n_threads = ((n_active_teams - 1) * threads_per_team
+                 + -(-last_team_iters // thread_iters))
+    team_step, thread_step = team_iters * v, thread_iters * v
+    thread_starts = (
+        np.arange(0, n_active_teams * team_step, team_step,
+                  dtype=np.int64)[:, None]
+        + np.arange(0, threads_per_team * thread_step, thread_step,
+                    dtype=np.int64)
+    ).ravel()[:n_threads]
+    team_starts = np.arange(0, n_active_teams * threads_per_team,
+                            threads_per_team, dtype=np.int64)
+    return thread_starts, team_starts
 
 
 def execute_reduction(data: np.ndarray, kernel: ReductionKernel,
@@ -155,20 +172,30 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
             f"no executable lowering for identifier {ident!r}"
         )
 
+    if kernel.result_type.is_integer:
+        # Wrapping integer arithmetic: every grouping gives the same bits.
+        return rtype.type(ufunc.reduce(values, dtype=rtype))
+
+    v, grid = kernel.elements_per_iteration, kernel.geometry.grid
+    if v == 1 and grid >= values.size:
+        # One element per team (the runtime's default geometry for the
+        # paper's baseline kernel): only the final combine groups anything.
+        return rtype.type(ufunc.reduce(values.astype(rtype, copy=False),
+                                       dtype=rtype))
+
     thread_starts, team_starts = thread_chunk_starts(
-        values.size,
-        kernel.geometry.grid,
-        kernel.geometry.block,
-        kernel.elements_per_iteration,
+        values.size, grid, kernel.geometry.block, v
     )
-    # Thread-private accumulation in R (wrapping for ints via the dtype).
-    partials = ufunc.reduceat(values, thread_starts, dtype=rtype)
-    # End-of-team combine over that team's thread partials.
-    if team_starts.size > 1:
-        team_sums = ufunc.reduceat(partials, team_starts, dtype=rtype)
+    # Thread-private accumulation in R; one-element chunks are just a cast.
+    if thread_starts.size == values.size:
+        partials = values.astype(rtype, copy=False)
     else:
-        team_sums = partials if partials.size == 1 else np.asarray(
-            [ufunc.reduce(partials, dtype=rtype)], dtype=rtype
-        )
+        partials = ufunc.reduceat(values, thread_starts, dtype=rtype)
+    # End-of-team combine over that team's thread partials; with one team
+    # the final combine below is that team's combine.
+    if team_starts.size in (1, partials.size):
+        team_sums = partials
+    else:
+        team_sums = ufunc.reduceat(partials, team_starts, dtype=rtype)
     # Final combine across teams (deterministic team order).
     return rtype.type(ufunc.reduce(team_sums, dtype=rtype))

@@ -19,12 +19,13 @@ identical expression tree over identical inputs yields identical bits):
    instead of per-point calibration lookups;
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
    runs once over arrays;
-4. functional values are memoized per machine: integer reductions are
-   geometry-independent (modular addition is associative — any grouping
-   yields ``sum mod 2**bits``), so one ``np.add.reduce`` per
-   (T, R, size) serves every geometry; float reductions are
-   grouping-dependent, so the scalar executor runs once per distinct
-   (T, R, size, grid, block, V) and is replayed from the memo after.
+4. functional values are memoized per machine and computed by the one
+   functional executor, :func:`~repro.gpu.exec_model._execute_reduction`:
+   integer sums are geometry-independent (the executor reduces integer R
+   flat), so one value per (T, R, size) serves every geometry; float
+   reductions are grouping-dependent, so the executor runs once per
+   distinct (T, R, size, grid, block, V) and is replayed from the memo
+   after.
 
 Known, intentional divergence from the serial loop: the slab validates
 *every* point before computing any, so when two points would both raise,
@@ -151,13 +152,13 @@ def _value_for(machine, case, grid: int, block: int, v: int, name: str,
                do_verify: bool, op: str = "+"):
     """Functional value for one point, memoized on *machine*.
 
-    Integer sums are geometry-independent; float sums key on the full
-    schedule shape.  Non-sum identifiers always key on the full shape
-    plus the op and run the *same* hierarchical executor as the scalar
-    path (byte-identity by construction).  Verification (against the
-    host reference) runs once per distinct value key and is skipped on
-    memo hits — it can only ever pass, since the value is computed from
-    the same workload the reference reduces.
+    Every value comes from the *same* executor as the scalar path
+    (byte-identity by construction).  Integer sums are geometry-independent
+    and key on (T, R, size) alone; float sums key on the full schedule
+    shape; non-sum identifiers key on the full shape plus the op.
+    Verification (against the host reference) runs once per distinct
+    value key and is skipped on memo hits — it can only ever pass, since
+    the value is computed from the same workload the reference reduces.
     """
     memo = getattr(machine, "_slab_value_cache", None)
     if memo is None:
@@ -176,23 +177,17 @@ def _value_for(machine, case, grid: int, block: int, v: int, name: str,
     data = machine.workload(case)
     second = machine.workload_pair(case) if op == "dot" else None
     if hit is None:
-        if op == "+" and rtype.is_integer:
-            # Modular addition is associative: every grouping yields the
-            # same wrapped sum, so skip the hierarchical schedule.
-            value = rtype.numpy.type(np.add.reduce(data, dtype=rtype.numpy))
-        else:
-            kernel = ReductionKernel(
-                name=name,
-                geometry=LaunchGeometry(grid=grid, block=block,
-                                        from_clause=True),
-                elements=case.elements,
-                elements_per_iteration=v,
-                element_type=etype,
-                result_type=rtype,
-                identifier=op,
-                arrays=required_arrays(op),
-            )
-            value = _execute_reduction(data, kernel, second)
+        kernel = ReductionKernel(
+            name=name,
+            geometry=LaunchGeometry(grid=grid, block=block, from_clause=True),
+            elements=case.elements,
+            elements_per_iteration=v,
+            element_type=etype,
+            result_type=rtype,
+            identifier=op,
+            arrays=required_arrays(op),
+        )
+        value = _execute_reduction(data, kernel, second)
     else:
         value = hit[0]
     if do_verify:

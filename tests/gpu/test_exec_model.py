@@ -43,7 +43,7 @@ class TestThreadChunkStarts:
 
     def test_team_boundaries_sorted(self):
         _, team_starts = thread_chunk_starts(100000, 16, 8, 2)
-        assert np.all(np.diff(team_starts) >= 0)
+        assert np.all(np.diff(team_starts) > 0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
