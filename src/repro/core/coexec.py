@@ -37,7 +37,7 @@ from ..compiler.cache import cached_compile
 from ..cpu.exec_model import execute_host_reduction
 from ..cpu.perf import estimate_cpu_reduction_time
 from ..errors import MeasurementError
-from ..gpu.exec_model import execute_reduction
+from ..gpu.exec_model import execute_reduction, grouping_key
 from ..gpu.kernels import ReductionKernel
 from ..memory.unified import UnifiedMemoryManager
 from ..openmp.reduction_ops import get_reduction_op
@@ -175,27 +175,45 @@ def _functional_coexec(
     len_d: int,
     verify: bool,
 ) -> np.generic:
-    """Actually compute sumD + sumH on the size-capped workload."""
+    """Actually compute sumD + sumH on the size-capped workload.
+
+    Both partial sums go through the machine's value memo: the allocation
+    site moves only pages and time, so A1 and A2 compute each (case,
+    kernel, p) partial once.  The device prefix's range fixes the host
+    suffix's, so a pair of checked hits was checked together.
+    """
     data = machine.workload(case)
     n = data.size
-    n_d = int(round(n * (len_d / case.elements)))
+    n_d = 0
     if kernel is not None:
+        n_d = int(round(n * (len_d / case.elements)))
         n_d -= n_d % kernel.elements_per_iteration
     rtype = case.result_type
-    op = get_reduction_op("+", rtype)
-    if kernel is not None and n_d > 0:
-        sum_d = execute_reduction(data[:n_d], kernel)
-    else:
-        n_d = 0 if kernel is None else n_d
-        sum_d = rtype.zero()
+    parts = []
+    if n_d > 0:
+        geometry = kernel.geometry
+        grouping = grouping_key(n_d, kernel.result_type, kernel.identifier,
+                                geometry.grid, geometry.block,
+                                kernel.elements_per_iteration)
+        parts.append((0, n_d, grouping,
+                      lambda: execute_reduction(data[:n_d], kernel)))
     if n_d < n:
-        sum_h = execute_host_reduction(data[n_d:], machine.cpu, rtype)
-    else:
-        sum_h = rtype.zero()
-    total = op.combine(rtype.numpy.type(sum_d), rtype.numpy.type(sum_h))
-    if verify:
-        verify_result(total, data, rtype)
-    return total
+        parts.append((n_d, n, ("host", machine.cpu.cores),
+                      lambda: execute_host_reduction(data[n_d:], machine.cpu,
+                                                     rtype)))
+    op = get_reduction_op("+", rtype)
+
+    def total_of(values):
+        sum_d = values[0] if n_d > 0 else rtype.zero()
+        sum_h = values[-1] if n_d < n else rtype.zero()
+        return op.combine(rtype.numpy.type(sum_d), rtype.numpy.type(sum_h))
+
+    def check(values):
+        verify_result(total_of(values), data, rtype)
+
+    return total_of(machine.functional_values(
+        case, "+", parts, check if verify else None
+    ))
 
 
 def measure_coexec_sweep(

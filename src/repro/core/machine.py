@@ -2,19 +2,21 @@
 
 A :class:`Machine` bundles the hardware description, the GPU calibration,
 the OpenMP device runtime, a trace, and workload generation.  It offers the
-two primitives the higher layers compose:
+primitives the higher layers compose:
 
 * :meth:`run_kernel` — predict a kernel's time (and record the launch,
   profiler-style);
 * :meth:`workload` — a deterministic, size-capped input array for a case
   (the functional layer sums real numbers; the performance model reasons
-  about the declared size).
+  about the declared size);
+* :meth:`functional_values` — the one memo every production caller of the
+  functional executors goes through.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +116,9 @@ class Machine:
     # -- workloads ---------------------------------------------------------------
     def functional_elements(self, case: Case) -> int:
         """How many elements the functional layer actually sums for *case*."""
-        return min(case.elements, self.config.functional_elements_cap)
+        cap = self.config.functional_elements_cap
+        # A comparison, not min(): this runs once per sweep point.
+        return case.elements if case.elements < cap else cap
 
     def workload(self, case: Case) -> np.ndarray:
         """Deterministic input array for *case* (cached, read-only view).
@@ -179,6 +183,61 @@ class Machine:
                     data.setflags(write=False)
                     self._workload_cache[key] = data
         return data
+
+    # -- functional values ----------------------------------------------------
+    def functional_values(
+        self,
+        case: Case,
+        op: str,
+        parts: Sequence[Tuple[int, int, tuple, Callable[[], Any]]],
+        check: Optional[Callable[[List[Any]], Any]] = None,
+    ) -> List[Any]:
+        """Functional values of one result, through the one value memo.
+
+        Each part ``(lo, hi, grouping, compute)`` is the *op* reduction of
+        ``workload(case)[lo:hi]`` under the executor grouping class
+        *grouping* (:func:`repro.gpu.exec_model.grouping_key` for device
+        parts); ``compute()`` runs the executor for it on a miss.  Values
+        are keyed by ``(op, T, R, workload length, lo, hi, grouping)`` —
+        the workload is a function of (T, length) on this machine — so a
+        value is computed once per key and replayed bit-for-bit after.
+
+        *check* (a ``verify_result`` closure) receives the values and
+        raises on a wrong result.  Values are stored only once every
+        ``compute()`` and the check have returned, so a raising executor
+        or a failed check leaves no entry; the check is skipped when every
+        part is a hit that passed one before.
+
+        The memo is active iff ``config.slab``: the ``--no-slab`` machine
+        is the uncached differential oracle and computes (and checks)
+        every call.  Its attribute keeps the historical name
+        ``_slab_value_cache``.
+        """
+        memo = self.__dict__.get("_slab_value_cache")
+        if memo is None and self.config.slab:
+            # setdefault: concurrent first calls must share one dict.
+            memo = self.__dict__.setdefault("_slab_value_cache", {})
+        common = (op, case.element_type.name, case.result_type.name,
+                  self.functional_elements(case))
+        keys, values, fresh, checked = [], [], [], True
+        for lo, hi, grouping, compute in parts:
+            key = common + (lo, hi, grouping)
+            hit = None if memo is None else memo.get(key)
+            keys.append(key)
+            if hit is None:
+                values.append(compute())
+                fresh.append((key, values[-1]))
+                checked = False
+            else:
+                values.append(hit[0])
+                checked = checked and hit[1]
+        if check is not None and not checked:
+            check(values)
+            fresh, checked = list(zip(keys, values)), True
+        if memo is not None:
+            for key, value in fresh:
+                memo[key] = (value, checked)
+        return values
 
     def describe(self) -> str:
         return self.system.describe()

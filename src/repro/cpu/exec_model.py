@@ -22,6 +22,7 @@ import numpy as np
 from ..dtypes import scalar_type
 from ..errors import UnsupportedReductionError
 from ..hardware.spec import CpuSpec
+from ..openmp.reduction_ops import get_reduction_op
 from ..telemetry.state import span as tele_span
 
 __all__ = ["execute_host_reduction"]
@@ -54,7 +55,8 @@ def execute_host_reduction(
         raise ValueError(f"expected a 1-D array, got shape {data.shape}")
     with tele_span("execute_host_reduction", category="cpu",
                    elements=int(data.size), cores=cpu.cores):
-        rtype = scalar_type(result_type).numpy
+        st = scalar_type(result_type)
+        rtype = st.numpy
         if identifier == "dot":
             if second is None:
                 raise UnsupportedReductionError(
@@ -68,13 +70,10 @@ def execute_host_reduction(
         if data.size == 0:
             if identifier == "argmax":
                 return rtype.type(-1)
-            if identifier in ("min", "max"):
-                info = (np.iinfo(rtype) if np.issubdtype(rtype, np.integer)
-                        else None)
-                if identifier == "max":
-                    return rtype.type(info.min) if info else rtype.type(-np.inf)
-                return rtype.type(info.max) if info else rtype.type(np.inf)
-            return rtype.type(0)
+            if identifier == "dot":
+                return rtype.type(0)
+            op = get_reduction_op(identifier, st)
+            return rtype.type(op.identity_for(st))
         if identifier == "argmax":
             return rtype.type(int(np.argmax(data)))
         if identifier == "dot":

@@ -13,10 +13,11 @@ over threads):
 3. end-of-team combine over thread partials, then a final combine over
    team partials (deterministic team order).
 
-The chunk boundaries are a closed-form lattice: every active team but the
-last owns exactly ``ceil(team_iters / thread_iters)`` threads, so thread
-starts are the row-major ``(team, thread)`` grid cut to the active thread
-count, and team starts are multiples of that per-team count.
+The chunk boundaries are a closed-form lattice (``_lattice``): every
+active team but the last owns exactly ``ceil(team_iters / thread_iters)``
+threads, so thread starts are the row-major ``(team, thread)`` grid cut to
+the active thread count, and team starts are multiples of that per-team
+count.
 
 When R is an integer the grouping cannot matter: every identifier the
 executor lowers (``+ - * & | ^ && || min max dot``) is associative and
@@ -26,21 +27,31 @@ floats different geometries legitimately produce slightly different
 roundings, which the verification layer treats with a relative tolerance —
 the same situation as on real hardware — so the hierarchy is kept; only
 levels that cannot regroup anything are skipped (one-element thread chunks
-are a cast to R, one-thread teams pass their partials through, and with one
-element per team no chunk boundaries are built at all).
+are a cast to R, one-thread teams pass their partials through, and when
+neither the thread nor the team level regroups the reduction is flat).
+
+:func:`grouping_key` names the *grouping class* a schedule induces on n
+elements, from the same lattice arithmetic: launches with equal keys over
+the same inputs return the same bits, which is what lets the machine's
+one functional-value memo
+(:meth:`repro.core.machine.Machine.functional_values`) share a value
+between every schedule of a class.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..dtypes import ScalarType
 from ..errors import UnsupportedReductionError
 from ..telemetry.state import span as tele_span
 from .kernels import ReductionKernel
 
-__all__ = ["execute_reduction", "thread_chunk_starts"]
+__all__ = [
+    "FLAT_GROUPING", "execute_reduction", "grouping_key", "thread_chunk_starts",
+]
 
 # Extended identifiers the executor lowers outside the ufunc table:
 #
@@ -71,6 +82,42 @@ _UFUNCS = {
 _LOGICAL = {"&&": np.minimum, "||": np.maximum}
 
 
+class _Lattice(NamedTuple):
+    """The static schedule's chunk lattice over n elements, in elements."""
+
+    team_step: int          # elements per team (the last may be short)
+    thread_step: int        # elements per thread (a team's last may be short)
+    threads_per_team: int   # threads of every active team but the last
+    n_teams: int            # active teams
+    n_threads: int          # active threads
+
+    def is_flat(self, n_elements: int) -> bool:
+        """True when no level regroups anything: one-element threads whose
+        partials are not combined per team before the final combine."""
+        return self.n_threads == n_elements and (
+            self.threads_per_team == 1 or self.n_teams == 1
+        )
+
+
+def _lattice(n_elements: int, grid: int, block: int, v: int) -> _Lattice:
+    """Closed-form distribute/for partitioning of *n_elements*.
+
+    Every active team but the last owns exactly ``threads_per_team``
+    threads; only the last team can be short, and its threads are a
+    prefix of its row.
+    """
+    trip = -(-n_elements // v)  # iterations, last one possibly ragged
+    team_iters = -(-trip // grid)
+    n_teams = -(-trip // team_iters)
+    thread_iters = -(-team_iters // block)
+    threads_per_team = -(-team_iters // thread_iters)
+    last_team_iters = trip - (n_teams - 1) * team_iters
+    n_threads = ((n_teams - 1) * threads_per_team
+                 + -(-last_team_iters // thread_iters))
+    return _Lattice(team_iters * v, thread_iters * v, threads_per_team,
+                    n_teams, n_threads)
+
+
 def thread_chunk_starts(
     n_elements: int, grid: int, block: int, v: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,25 +131,48 @@ def thread_chunk_starts(
     """
     if n_elements <= 0:
         raise ValueError(f"n_elements must be positive, got {n_elements}")
-    trip = -(-n_elements // v)  # iterations, last one possibly ragged
-    team_iters = -(-trip // grid)
-    n_active_teams = -(-trip // team_iters)
-    thread_iters = -(-team_iters // block)
-    threads_per_team = -(-team_iters // thread_iters)
-    # Only the last team can be short; its threads are a prefix of its row.
-    last_team_iters = trip - (n_active_teams - 1) * team_iters
-    n_threads = ((n_active_teams - 1) * threads_per_team
-                 + -(-last_team_iters // thread_iters))
-    team_step, thread_step = team_iters * v, thread_iters * v
+    lat = _lattice(n_elements, grid, block, v)
     thread_starts = (
-        np.arange(0, n_active_teams * team_step, team_step,
+        np.arange(0, lat.n_teams * lat.team_step, lat.team_step,
                   dtype=np.int64)[:, None]
-        + np.arange(0, threads_per_team * thread_step, thread_step,
-                    dtype=np.int64)
-    ).ravel()[:n_threads]
-    team_starts = np.arange(0, n_active_teams * threads_per_team,
-                            threads_per_team, dtype=np.int64)
+        + np.arange(0, lat.threads_per_team * lat.thread_step,
+                    lat.thread_step, dtype=np.int64)
+    ).ravel()[:lat.n_threads]
+    team_starts = np.arange(0, lat.n_teams * lat.threads_per_team,
+                            lat.threads_per_team, dtype=np.int64)
     return thread_starts, team_starts
+
+
+#: Grouping class of every reduction that is one ``ufunc.reduce`` in R.
+FLAT_GROUPING = ("flat",)
+
+
+def grouping_key(n_elements: int, result_type: ScalarType, identifier: str,
+                 grid: int, block: int, v: int) -> tuple:
+    """Grouping class of an *n_elements* reduction under this schedule.
+
+    Two launches over the same *n_elements* inputs with equal keys return
+    the same bits from :func:`execute_reduction`.  The key is
+    :data:`FLAT_GROUPING` exactly when the executor reduces flat (integer
+    R, ``argmax``, empty input, or one-element threads with one thread per
+    team or a single team); otherwise it is ``(team_step, thread_step,
+    threads_per_team)`` in elements, with ``team_step`` zeroed when one
+    team is active and ``thread_step`` zeroed when each team has one
+    thread — the steps that cannot move a chunk boundary.  A single team
+    of one multi-element thread is *not* flat: a one-segment ``reduceat``
+    rounds differently from a flat (pairwise) ``reduce``.
+
+    Takes the kernel's schedule fields rather than a kernel so sweep
+    points can be keyed without building one.
+    """
+    if result_type.is_integer or identifier == "argmax" or n_elements <= 0:
+        return FLAT_GROUPING
+    lat = _lattice(n_elements, grid, block, v)
+    if lat.is_flat(n_elements):
+        return FLAT_GROUPING
+    return (0 if lat.n_teams == 1 else lat.team_step,
+            0 if lat.threads_per_team == 1 else lat.thread_step,
+            lat.threads_per_team)
 
 
 def execute_reduction(data: np.ndarray, kernel: ReductionKernel,
@@ -176,15 +246,16 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
         # Wrapping integer arithmetic: every grouping gives the same bits.
         return rtype.type(ufunc.reduce(values, dtype=rtype))
 
-    v, grid = kernel.elements_per_iteration, kernel.geometry.grid
-    if v == 1 and grid >= values.size:
-        # One element per team (the runtime's default geometry for the
-        # paper's baseline kernel): only the final combine groups anything.
+    geometry, v = kernel.geometry, kernel.elements_per_iteration
+    if _lattice(values.size, geometry.grid, geometry.block, v).is_flat(
+            values.size):
+        # E.g. one element per team (the runtime's default geometry for
+        # the paper's baseline kernel): only the final combine groups.
         return rtype.type(ufunc.reduce(values.astype(rtype, copy=False),
                                        dtype=rtype))
 
     thread_starts, team_starts = thread_chunk_starts(
-        values.size, grid, kernel.geometry.block, v
+        values.size, geometry.grid, geometry.block, v
     )
     # Thread-private accumulation in R; one-element chunks are just a cast.
     if thread_starts.size == values.size:

@@ -19,13 +19,15 @@ identical expression tree over identical inputs yields identical bits):
    instead of per-point calibration lookups;
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
    runs once over arrays;
-4. functional values are memoized per machine and computed by the one
-   functional executor, :func:`~repro.gpu.exec_model._execute_reduction`:
-   integer sums are geometry-independent (the executor reduces integer R
-   flat), so one value per (T, R, size) serves every geometry; float
-   reductions are grouping-dependent, so the executor runs once per
-   distinct (T, R, size, grid, block, V) and is replayed from the memo
-   after.
+4. functional values come from the one functional executor,
+   :func:`~repro.gpu.exec_model._execute_reduction`, through the
+   machine's one value memo
+   (:meth:`~repro.core.machine.Machine.functional_values`), keyed by the
+   grouping class of the point's schedule
+   (:func:`~repro.gpu.exec_model.grouping_key`): integer sums are
+   geometry-independent, so one value per (T, R, size) serves every
+   geometry; float schedules that cut the same chunks share a value, and
+   the executor runs once per distinct class.
 
 Known, intentional divergence from the serial loop: the slab validates
 *every* point before computing any, so when two points would both raise,
@@ -49,7 +51,7 @@ import numpy as np
 
 from ..core.verify import verify_result
 from ..errors import LaunchError, MeasurementError, MemoryModelError
-from ..gpu.exec_model import _execute_reduction
+from ..gpu.exec_model import _execute_reduction, grouping_key
 from ..gpu.kernels import ReductionKernel
 from ..openmp.heuristics import default_num_teams, default_thread_limit
 from ..openmp.reduction_ops import required_arrays
@@ -150,49 +152,40 @@ def _validate_point(tables: ModelTables, case, grid: int, block: int,
 
 def _value_for(machine, case, grid: int, block: int, v: int, name: str,
                do_verify: bool, op: str = "+"):
-    """Functional value for one point, memoized on *machine*.
+    """Functional value for one point, through the machine's value memo.
 
-    Every value comes from the *same* executor as the scalar path
-    (byte-identity by construction).  Integer sums are geometry-independent
-    and key on (T, R, size) alone; float sums key on the full schedule
-    shape; non-sum identifiers key on the full shape plus the op.
-    Verification (against the host reference) runs once per distinct
-    value key and is skipped on memo hits — it can only ever pass, since
-    the value is computed from the same workload the reference reduces.
+    The value comes from the *same* executor as the scalar path
+    (byte-identity by construction), keyed by the grouping class the
+    point's schedule induces on the whole workload — every integer sum
+    shares one entry per (T, R, size), and float schedules that cut the
+    same chunks share theirs.  Verification (against the host reference)
+    runs once per key.
     """
-    memo = getattr(machine, "_slab_value_cache", None)
-    if memo is None:
-        memo = machine._slab_value_cache = {}
-    etype, rtype = case.element_type, case.result_type
     n = machine.functional_elements(case)
-    if op != "+":
-        key = (op, etype.name, rtype.name, n, grid, block, v)
-    elif rtype.is_integer:
-        key = (etype.name, rtype.name, n)
-    else:
-        key = (etype.name, rtype.name, n, grid, block, v)
-    hit = memo.get(key)
-    if hit is not None and (not do_verify or hit[1]):
-        return hit[0]
-    data = machine.workload(case)
-    second = machine.workload_pair(case) if op == "dot" else None
-    if hit is None:
+    rtype = case.result_type
+
+    def compute():
         kernel = ReductionKernel(
             name=name,
             geometry=LaunchGeometry(grid=grid, block=block, from_clause=True),
             elements=case.elements,
             elements_per_iteration=v,
-            element_type=etype,
+            element_type=case.element_type,
             result_type=rtype,
             identifier=op,
             arrays=required_arrays(op),
         )
-        value = _execute_reduction(data, kernel, second)
-    else:
-        value = hit[0]
-    if do_verify:
-        verify_result(value, data, rtype, op, second)
-    memo[key] = (value, do_verify or (hit is not None and hit[1]))
+        second = machine.workload_pair(case) if op == "dot" else None
+        return _execute_reduction(machine.workload(case), kernel, second)
+
+    def check(values):
+        second = machine.workload_pair(case) if op == "dot" else None
+        verify_result(values[0], machine.workload(case), rtype, op, second)
+
+    grouping = grouping_key(n, rtype, op, grid, block, v)
+    [value] = machine.functional_values(
+        case, op, [(0, n, grouping, compute)], check if do_verify else None
+    )
     return value
 
 
@@ -224,50 +217,54 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
         return []
     tables = tables_for(machine)
 
-    # -- pass 1: validate in submission order; gather per-point scalars.
-    grid = np.empty(n, dtype=np.int64)
-    block = np.empty(n, dtype=np.int64)
-    v_arr = np.empty(n, dtype=np.int64)
-    trip = np.empty(n, dtype=np.int64)
-    esize = np.empty(n, dtype=np.int64)
-    input_bytes = np.empty(n, dtype=np.float64)
-    trials_arr = np.empty(n, dtype=np.float64)
-    ceiling = np.empty(n, dtype=np.float64)
-    elem_issue = np.empty(n, dtype=np.float64)
-    iter_fixed = np.empty(n, dtype=np.float64)
-    inflight = np.empty(n, dtype=np.float64)
-    combine = np.empty(n, dtype=np.float64)
-    scalar_motion = np.empty(n, dtype=np.float64)
-    from_clause: List[bool] = [False] * n
-    names: List[str] = [""] * n
-    ops: List[str] = ["+"] * n
-    for i, payload in enumerate(payloads):
+    # -- pass 1: validate in submission order; gather per-point scalars
+    # (appended to lists, one array per column after the loop).
+    grid_c: List[int] = []
+    block_c: List[int] = []
+    v_c: List[int] = []
+    elements_c: List[int] = []
+    input_bytes_c: List[int] = []
+    trials_c: List[float] = []
+    erows: list = []
+    rrows: list = []
+    from_clause: List[bool] = []
+    names: List[str] = []
+    ops: List[str] = []
+    for payload in payloads:
         case, config, trials, _verify = payload[:4]
         op = payload[4] if len(payload) > 4 else "+"
-        ops[i] = op
+        ops.append(op)
         if trials <= 0:
             raise MeasurementError(f"trials must be positive, got {trials}")
         g, b, fc, v, name = _resolve_point(machine, tables, case, config, op)
-        _validate_point(tables, case, g, b, required_arrays(op))
-        grid[i] = g
-        block[i] = b
-        v_arr[i] = v
-        trip[i] = case.elements // v
-        from_clause[i] = fc
-        names[i] = name
-        erow = tables.elements[case.element_type.name]
-        rrow = tables.results[case.result_type.name]
-        esize[i] = erow.size
+        arrays = required_arrays(op)
+        _validate_point(tables, case, g, b, arrays)
+        grid_c.append(g)
+        block_c.append(b)
+        v_c.append(v)
+        elements_c.append(case.elements)
+        from_clause.append(fc)
+        names.append(name)
+        erows.append(tables.elements[case.element_type.name])
+        rrows.append(tables.results[case.result_type.name])
         # Mirrors kernel.input_bytes: dot streams both operands, so its
         # memory term and bandwidth numerator count both arrays.
-        input_bytes[i] = case.input_bytes * required_arrays(op)
-        trials_arr[i] = trials
-        ceiling[i] = erow.ceiling_gbs
-        elem_issue[i] = erow.elem_issue
-        iter_fixed[i] = erow.iter_fixed
-        inflight[i] = erow.inflight_scale
-        combine[i] = rrow.combine_cycles
-        scalar_motion[i] = rrow.scalar_motion_s
+        input_bytes_c.append(case.input_bytes * arrays)
+        trials_c.append(trials)
+    grid = np.array(grid_c, dtype=np.int64)
+    block = np.array(block_c, dtype=np.int64)
+    v_arr = np.array(v_c, dtype=np.int64)
+    trip = np.array(elements_c, dtype=np.int64) // v_arr
+    esize = np.array([r.size for r in erows], dtype=np.int64)
+    input_bytes = np.array(input_bytes_c, dtype=np.float64)
+    trials_arr = np.array(trials_c, dtype=np.float64)
+    ceiling = np.array([r.ceiling_gbs for r in erows], dtype=np.float64)
+    elem_issue = np.array([r.elem_issue for r in erows], dtype=np.float64)
+    iter_fixed = np.array([r.iter_fixed for r in erows], dtype=np.float64)
+    inflight = np.array([r.inflight_scale for r in erows], dtype=np.float64)
+    combine = np.array([r.combine_cycles for r in rrows], dtype=np.float64)
+    scalar_motion = np.array([r.scalar_motion_s for r in rrows],
+                             dtype=np.float64)
 
     # -- pass 2: the kernel-time model, vectorized.  Each line mirrors
     # the corresponding scalar expression's operation order exactly.
@@ -316,35 +313,36 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
     bandwidth = input_bytes * trials_arr / 1e9 / elapsed
 
     # -- pass 3: launch trace (submission order, like the serial loop).
+    # Python scalars via tolist(): the same values as per-element int()
+    # and float() conversions, without a NumPy scalar per read.
+    grid_l, block_l, v_l = grid.tolist(), block.tolist(), v_arr.tolist()
     record_launch = machine.trace.record_launch
-    for i, payload in enumerate(payloads):
-        case = payload[0]
+    for i, duration in enumerate(total.tolist()):
         record_launch(
             KernelLaunchRecord(
                 time=0.0,
                 name=names[i],
-                grid=int(grid[i]),
-                block=int(block[i]),
-                elements=case.elements,
+                grid=grid_l[i],
+                block=block_l[i],
+                elements=payloads[i][0].elements,
                 from_clause=from_clause[i],
-                duration=float(total[i]),
+                duration=duration,
             )
         )
 
     # -- pass 4: functional values + records.
     strict = machine.config.strict_verify
     records: List[dict] = []
-    for i, payload in enumerate(payloads):
-        case, verify = payload[0], payload[3]
+    for i, (bw, seconds) in enumerate(zip(bandwidth.tolist(),
+                                          elapsed.tolist())):
+        case, verify = payloads[i][0], payloads[i][3]
         do_verify = strict if verify is None else verify
-        value = _value_for(
-            machine, case, int(grid[i]), int(block[i]), int(v_arr[i]),
-            names[i], do_verify, ops[i],
-        )
+        value = _value_for(machine, case, grid_l[i], block_l[i], v_l[i],
+                           names[i], do_verify, ops[i])
         records.append(
             {
-                "bandwidth_gbs": float(bandwidth[i]),
-                "elapsed_seconds": float(elapsed[i]),
+                "bandwidth_gbs": bw,
+                "elapsed_seconds": seconds,
                 "value": value.item(),
             }
         )

@@ -7,6 +7,7 @@ those from a thread pool released by a barrier so all first calls race.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -93,3 +94,45 @@ class TestCompileCache:
         hits, misses, entries = compile_cache_stats()
         assert (misses, entries) == (1, 1)
         assert hits == THREADS
+
+
+class _SlowSlabRead:
+    """Delegating config whose ``slab`` read yields the interpreter lock,
+    widening the window between a memo's absence check and its creation."""
+
+    def __init__(self, config):
+        self._config = config
+
+    def __getattr__(self, name):
+        return getattr(self._config, name)
+
+    @property
+    def slab(self):
+        time.sleep(0.005)
+        return self._config.slab
+
+
+class TestValueMemo:
+    def test_concurrent_first_calls_share_one_memo(self):
+        from repro import ReproConfig
+        from repro.core.coexec import AllocationSite, measure_coexec_sweep
+
+        config = ReproConfig(functional_elements_cap=1 << 12)
+        machine = Machine(config=config)
+        machine.config = _SlowSlabRead(config)
+        fractions = iter(range(1, THREADS + 1))
+        lock = threading.Lock()
+
+        def sweep():
+            with lock:
+                p = next(fractions) / (THREADS + 1)
+            return measure_coexec_sweep(
+                machine, C1, AllocationSite.A1, p_grid=(p,), trials=1,
+                verify=True,
+            ).measurements[0].value
+
+        values = _race(sweep)
+        # Each thread adds its own device prefix and host suffix; a memo
+        # replaced by a racing first call would lose some of them.
+        assert len(machine._slab_value_cache) == 2 * THREADS
+        assert len(set(values)) == 1

@@ -4,7 +4,8 @@ Both the closed-form ``thread_chunk_starts`` and the executor's shortcuts
 (flat integer reduction, skipped degenerate levels) are checked against
 naive references kept here: the filtered-lattice + ``searchsorted``
 construction of the chunk starts, and a three-level ``reduceat``
-hierarchy over those starts.
+hierarchy over those starts.  ``grouping_key`` is checked for soundness:
+schedules with equal keys cut the same chunks and return the same bits.
 """
 
 import itertools
@@ -15,7 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.dtypes import SCALAR_TYPES
 from repro.errors import UnsupportedReductionError
-from repro.gpu.exec_model import _execute_reduction, thread_chunk_starts
+from repro.gpu.exec_model import (
+    FLAT_GROUPING,
+    _execute_reduction,
+    grouping_key,
+    thread_chunk_starts,
+)
 from repro.gpu.kernels import ReductionKernel
 from repro.openmp.reduction_ops import required_arrays, validate_reduction
 from repro.openmp.runtime import LaunchGeometry
@@ -204,3 +210,87 @@ class TestExecutorMatchesReference:
                                        grid, block, v)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def _kernel(ident, etype, rtype, n, grid, block, v):
+    return ReductionKernel(
+        name="k",
+        geometry=LaunchGeometry(grid=grid, block=block, from_clause=True),
+        elements=v * -(-n // v),
+        elements_per_iteration=v,
+        element_type=etype,
+        result_type=rtype,
+        identifier=ident,
+        arrays=required_arrays(ident),
+    )
+
+
+# Float '+'/'*' (the grouping-sensitive reductions) and every identifier
+# into an integer R (always one flat class).
+GROUPING_CASES = [
+    (ident, tname, rname)
+    for ident, tname, rname in CASES
+    if (ident in ("+", "*") and tname == rname in ("float32", "float64"))
+    or (SCALAR_TYPES[rname].is_integer and tname in ("int8", "int32"))
+]
+
+schedules = st.tuples(
+    st.one_of(st.integers(1, 64), st.integers(1, 0xFFFFFF)),   # grid
+    st.one_of(st.integers(1, 8), st.integers(1, 1024)),        # block
+    st.sampled_from([1, 2, 3, 4, 8]),                          # v
+)
+
+# One team of one multi-element thread: a one-segment reduceat, which
+# rounds differently from the flat (pairwise) reduce of the second shape.
+SINGLE_THREAD_SHAPES = ((1, 1, 1), (8000, 1, 1))
+
+
+class TestGroupingKey:
+    def test_single_team_single_thread_is_not_flat(self):
+        n = 4000
+        for rname in ("float32", "float64"):
+            rtype = SCALAR_TYPES[rname]
+            assert grouping_key(n, rtype, "+", 1, 1, 1) == (0, 0, 1)
+            assert grouping_key(n, rtype, "+", n, 1, 1) == FLAT_GROUPING
+
+    @given(
+        n=st.integers(min_value=1, max_value=4000),
+        shapes=st.lists(schedules, min_size=2, max_size=10),
+        seed=st.integers(min_value=0, max_value=1 << 16),
+    )
+    @example(n=4000, shapes=list(SINGLE_THREAD_SHAPES), seed=0)
+    @example(n=BASELINE_SHAPE[0],
+             shapes=[BASELINE_SHAPE[1:], (1 << 22, 64, 1)], seed=1)
+    @example(n=1003, shapes=[(5, 16, 4), (5, 13, 4)], seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_keys_give_equal_bits(self, n, shapes, seed):
+        rng = np.random.default_rng(seed)
+        for ident, tname, rname in GROUPING_CASES:
+            etype, rtype = SCALAR_TYPES[tname], SCALAR_TYPES[rname]
+            classes = {}
+            for grid, block, v in shapes:
+                key = grouping_key(n, rtype, ident, grid, block, v)
+                classes.setdefault(key, []).append((grid, block, v))
+            if all(len(members) < 2 for members in classes.values()):
+                continue
+            data = _draw_data(rng, ident, etype, n)
+            second = (_draw_data(rng, ident, etype, n) if ident == "dot"
+                      else None)
+            for key, members in classes.items():
+                first, *rest = members
+                if key != FLAT_GROUPING:
+                    starts = thread_chunk_starts(n, *first)
+                    for shape in rest:
+                        other = thread_chunk_starts(n, *shape)
+                        assert np.array_equal(starts[0], other[0])
+                        assert np.array_equal(starts[1], other[1])
+                with np.errstate(all="ignore"):
+                    want = _execute_reduction(
+                        data, _kernel(ident, etype, rtype, n, *first), second
+                    ).tobytes()
+                    for shape in rest:
+                        got = _execute_reduction(
+                            data, _kernel(ident, etype, rtype, n, *shape),
+                            second,
+                        ).tobytes()
+                        assert got == want, (ident, tname, rname, key, shape)
