@@ -72,8 +72,8 @@ class ReproConfig:
         corruption, never as silently different cached results.
     slab:
         When ``True`` (the default), ``gpu_point`` sweep stages take the
-        batch-vectorized slab path (:mod:`repro.sim.batch`): precomputed
-        model tables, whole-slab NumPy evaluation, shared-memory
+        batch-vectorized slab path (:mod:`repro.sim.batch`): whole-slab
+        NumPy evaluation of the one kernel-time model, shared-memory
         transport to pool workers, and a memoized
         :func:`~repro.core.timing.measure_gpu_reduction` fast path.
         ``False`` (``--no-slab``) forces the original point-at-a-time

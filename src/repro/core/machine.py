@@ -87,19 +87,9 @@ class Machine:
         return UnifiedMemoryManager(self.system, self.trace)
 
     # -- execution primitives -------------------------------------------------
-    def run_kernel(
-        self,
-        kernel: ReductionKernel,
-        now: float = 0.0,
-        effective_bandwidth_gbs: Optional[float] = None,
-    ) -> KernelTiming:
+    def run_kernel(self, kernel: ReductionKernel, now: float = 0.0) -> KernelTiming:
         """Model one launch of *kernel*; records it in the trace."""
-        timing = estimate_kernel_time(
-            self.gpu,
-            kernel,
-            self.calibration,
-            effective_bandwidth_gbs=effective_bandwidth_gbs,
-        )
+        timing = estimate_kernel_time(self.gpu, kernel, self.calibration)
         self.trace.record_launch(
             KernelLaunchRecord(
                 time=now,

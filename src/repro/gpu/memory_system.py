@@ -13,12 +13,49 @@ once the grid fills the machine (Fig. 1a-d).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..dtypes import scalar_type
 from ..hardware.spec import GpuSpec
 from ..util.validation import check_positive_int
 from .calibration import GpuCalibration, DEFAULT_CALIBRATION
 
-__all__ = ["warp_inflight_bytes", "achievable_bandwidth_gbs"]
+__all__ = [
+    "warp_inflight_bytes",
+    "achievable_bandwidth_gbs",
+    "littles_law_bandwidth_gbs",
+]
+
+
+def _inflight_bytes(gpu, calibration, v, size, inflight_scale):
+    """``warp_size * V * size`` clamped to the LSU cap, scaled by the
+    pipelining slack, then derated per element type (elementwise)."""
+    raw = gpu.warp_size * v * size
+    capped = np.minimum(raw, calibration.warp_inflight_cap_bytes)
+    return capped * calibration.mlp_scale * inflight_scale
+
+
+def littles_law_bandwidth_gbs(
+    gpu: GpuSpec,
+    calibration: GpuCalibration,
+    active_warps,
+    v,
+    size,
+    inflight_scale,
+    efficiency,
+):
+    """Elementwise sustained read bandwidth (GB/s).
+
+    ``min(efficiency * peak, active_warps * inflight_bytes / latency)``
+    over integers or arrays: *size*, *inflight_scale* and *efficiency*
+    are the element type's width and calibration constants, one per
+    entry (or one for all).
+    """
+    per_warp = _inflight_bytes(gpu, calibration, v, size, inflight_scale)
+    latency_s = gpu.memory.latency_ns * 1e-9
+    concurrency_gbs = active_warps * per_warp / latency_s / 1e9
+    ceiling_gbs = efficiency * gpu.memory.peak_bandwidth_gbs
+    return np.minimum(ceiling_gbs, concurrency_gbs)
 
 
 def warp_inflight_bytes(
@@ -35,9 +72,9 @@ def warp_inflight_bytes(
     """
     v = check_positive_int(elements_per_iteration, "elements_per_iteration")
     st = scalar_type(element_type)
-    raw = gpu.warp_size * v * st.size
-    capped = min(float(raw), calibration.warp_inflight_cap_bytes)
-    return capped * calibration.mlp_scale * calibration.inflight_scale_for(st)
+    return float(_inflight_bytes(
+        gpu, calibration, v, st.size, calibration.inflight_scale_for(st)
+    ))
 
 
 def achievable_bandwidth_gbs(
@@ -52,10 +89,9 @@ def achievable_bandwidth_gbs(
     ``min(efficiency(T) * peak, active_warps * inflight_bytes / latency)``.
     """
     check_positive_int(active_warps, "active_warps")
-    per_warp = warp_inflight_bytes(
-        gpu, elements_per_iteration, element_type, calibration
-    )
-    latency_s = gpu.memory.latency_ns * 1e-9
-    concurrency_gbs = active_warps * per_warp / latency_s / 1e9
-    ceiling_gbs = calibration.efficiency_for(element_type) * gpu.memory.peak_bandwidth_gbs
-    return min(ceiling_gbs, concurrency_gbs)
+    v = check_positive_int(elements_per_iteration, "elements_per_iteration")
+    st = scalar_type(element_type)
+    return float(littles_law_bandwidth_gbs(
+        gpu, calibration, active_warps, v, st.size,
+        calibration.inflight_scale_for(st), calibration.efficiency_for(st),
+    ))

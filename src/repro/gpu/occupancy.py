@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import LaunchError
 from ..hardware.spec import GpuSpec
 from ..util.validation import check_positive_int
 
-__all__ = ["OccupancyResult", "occupancy"]
+__all__ = ["OccupancyResult", "occupancy", "residency", "warps_per_block"]
 
 
 @dataclass(frozen=True)
@@ -31,15 +33,40 @@ class OccupancyResult:
     active_warps: int       # warps simultaneously resident on the GPU
     waves: int              # ceil(grid / concurrent-block capacity)
 
-    @property
-    def full(self) -> bool:
-        """True when the launch fills every SM to its block-residency cap."""
-        return self.grid >= self.active_blocks and self.waves >= 1 and (
-            self.active_blocks == self.blocks_per_sm * self._sms
-        )
 
-    # stored privately for `full`
-    _sms: int = 0
+def warps_per_block(gpu: GpuSpec, block: int) -> int:
+    """Warps a *block*-thread team occupies on *gpu*.
+
+    Raises
+    ------
+    LaunchError
+        If the block exceeds the device's thread limit or needs more warps
+        than one SM can hold.
+    """
+    if block > gpu.max_threads_per_block:
+        raise LaunchError(
+            f"block size {block} exceeds device maximum "
+            f"{gpu.max_threads_per_block}"
+        )
+    warps = -(-block // gpu.warp_size)
+    if warps > gpu.max_warps_per_sm:
+        raise LaunchError(
+            f"a {block}-thread block needs {warps} warps, more "
+            f"than the {gpu.max_warps_per_sm} an SM can hold"
+        )
+    return warps
+
+
+def residency(gpu: GpuSpec, grid, warps):
+    """``(blocks_per_sm, active_blocks)`` for *grid* teams of *warps* warps.
+
+    Works elementwise on integers or integer arrays of already-validated
+    launches (see :func:`warps_per_block`).
+    """
+    blocks_per_sm = np.minimum(
+        gpu.max_blocks_per_sm, gpu.max_warps_per_sm // warps
+    )
+    return blocks_per_sm, np.minimum(grid, gpu.sms * blocks_per_sm)
 
 
 def occupancy(gpu: GpuSpec, grid: int, block: int) -> OccupancyResult:
@@ -52,29 +79,15 @@ def occupancy(gpu: GpuSpec, grid: int, block: int) -> OccupancyResult:
     """
     check_positive_int(grid, "grid")
     check_positive_int(block, "block")
-    if block > gpu.max_threads_per_block:
-        raise LaunchError(
-            f"block size {block} exceeds device maximum "
-            f"{gpu.max_threads_per_block}"
-        )
-    warps_per_block = -(-block // gpu.warp_size)
-    if warps_per_block > gpu.max_warps_per_sm:
-        raise LaunchError(
-            f"a {block}-thread block needs {warps_per_block} warps, more "
-            f"than the {gpu.max_warps_per_sm} an SM can hold"
-        )
-    blocks_per_sm = min(
-        gpu.max_blocks_per_sm, gpu.max_warps_per_sm // warps_per_block
-    )
-    capacity = gpu.sms * blocks_per_sm
-    active_blocks = min(grid, capacity)
+    warps = warps_per_block(gpu, block)
+    blocks_per_sm, active_blocks = residency(gpu, grid, warps)
+    blocks_per_sm, active_blocks = int(blocks_per_sm), int(active_blocks)
     return OccupancyResult(
         grid=grid,
         block=block,
-        warps_per_block=warps_per_block,
+        warps_per_block=warps,
         blocks_per_sm=blocks_per_sm,
         active_blocks=active_blocks,
-        active_warps=active_blocks * warps_per_block,
-        waves=-(-grid // capacity),
-        _sms=gpu.sms,
+        active_warps=active_blocks * warps,
+        waves=-(-grid // (gpu.sms * blocks_per_sm)),
     )

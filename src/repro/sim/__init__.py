@@ -21,25 +21,16 @@ __all__ = [
     "KernelLaunchRecord",
     "MigrationRecord",
     "RemoteAccessRecord",
-    "ModelTables",
     "evaluate_gpu_slab",
-    "tables_for",
 ]
-
-_LAZY = {
-    "ModelTables": "tables",
-    "evaluate_gpu_slab": "batch",
-    "tables_for": "tables",
-}
 
 
 def __getattr__(name):
-    # The slab evaluator (:mod:`.batch`) and its model tables reach into
-    # core/gpu/sweep layers that themselves import :mod:`.trace` from
-    # this package, so they load lazily to keep import order acyclic.
-    module = _LAZY.get(name)
-    if module is None:
+    # The slab evaluator (:mod:`.batch`) reaches into core/gpu layers that
+    # themselves import :mod:`.trace` from this package, so it loads
+    # lazily to keep import order acyclic.
+    if name != "evaluate_gpu_slab":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    from .batch import evaluate_gpu_slab
 
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    return evaluate_gpu_slab

@@ -5,20 +5,22 @@
 executor's ``gpu_point`` task — in a few NumPy passes instead of one
 trip through :func:`~repro.core.timing.measure_gpu_reduction` per point.
 It produces the same result records, **byte-identical** under
-:func:`~repro.sweep.fingerprint.canonical_json`, because every
-arithmetic expression mirrors the scalar model's operation order exactly
-(IEEE-754 float64 elementwise operations are deterministic, so an
-identical expression tree over identical inputs yields identical bits):
+:func:`~repro.sweep.fingerprint.canonical_json`, because it runs the
+scalar path's own expressions over arrays (IEEE-754 float64 elementwise
+operations are deterministic, so an identical expression tree over
+identical inputs yields identical bits):
 
 1. per-point *validation* walks the slab in submission order and raises
    the same exception type and message, at the same first failing point,
    as the serial loop would (trials / divisibility / thread_limit /
    device capacity / occupancy);
-2. per-point model constants come from the precomputed
-   :class:`~repro.sim.tables.ModelTables` rows (gathered into arrays)
-   instead of per-point calibration lookups;
-3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
-   runs once over arrays;
+2. the one kernel-time model, :func:`~repro.gpu.perf.kernel_times`,
+   prices every point in one call over arrays (the scalar path's
+   :func:`~repro.gpu.perf.estimate_kernel_time` is the same function on a
+   one-entry batch), reading the GPU spec and calibration straight off
+   the machine;
+3. the Listing 6 per-trial scalar motion is priced once per distinct
+   result type and gathered by index;
 4. functional values come from the one functional executor,
    :func:`~repro.gpu.exec_model._execute_reduction`, through the
    machine's one value memo
@@ -53,11 +55,13 @@ from ..core.verify import verify_result
 from ..errors import LaunchError, MeasurementError, MemoryModelError
 from ..gpu.exec_model import _execute_reduction, grouping_key
 from ..gpu.kernels import ReductionKernel
+from ..gpu.occupancy import warps_per_block
+from ..gpu.perf import gather_by_type, kernel_times
+from ..memory.migration import MigrationEngine
 from ..openmp.heuristics import default_num_teams, default_thread_limit
 from ..openmp.reduction_ops import required_arrays
 from ..openmp.runtime import LaunchGeometry
 from ..telemetry.state import metrics
-from .tables import ModelTables, tables_for
 from .trace import KernelLaunchRecord
 
 __all__ = ["evaluate_gpu_slab", "SLAB_POINT_BUCKETS"]
@@ -68,8 +72,7 @@ SLAB_POINT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def _resolve_point(machine, tables: ModelTables, case, config,
-                   op: str = "+") -> tuple:
+def _resolve_point(machine, gpu, case, config, op: str = "+") -> tuple:
     """Launch geometry + kernel name for one point, scalar-path order.
 
     Mirrors ``cached_compile(program).launch(...)`` →
@@ -79,7 +82,6 @@ def _resolve_point(machine, tables: ModelTables, case, config,
     round-up to a whole warp.  Non-sum identifiers append the scalar
     path's ``_{op}`` program-name suffix.
     """
-    gpu = tables.gpu
     icvs = machine.runtime.icvs
     suffix = "" if op == "+" else f"_{op}"
     if config is not None:
@@ -116,12 +118,11 @@ def _resolve_point(machine, tables: ModelTables, case, config,
     return grid, block, from_clause, v, name
 
 
-def _validate_point(tables: ModelTables, case, grid: int, block: int,
-                    arrays: int = 1) -> None:
+def _validate_point(gpu, case, block: int, arrays: int = 1) -> None:
     """The scalar path's post-launch checks, in its order."""
     # DeviceDataEnvironment: map_to("in", M*sizeof(T)) [, map_to("in2",
     # ...) for two-array ops], map_alloc("sum", R).
-    capacity = tables.device_capacity_bytes
+    capacity = gpu.memory.capacity_bytes
     if case.input_bytes > capacity:
         raise MemoryModelError(
             f"device memory exhausted mapping 'in': "
@@ -141,13 +142,8 @@ def _validate_point(tables: ModelTables, case, grid: int, block: int,
             f"device memory exhausted mapping 'sum': "
             f"{mapped} + {rsize} > {capacity}"
         )
-    # occupancy(): the warps-per-SM residency bound.
-    wpb = -(-block // tables.warp_size)
-    if wpb > tables.max_warps_per_sm:
-        raise LaunchError(
-            f"a {block}-thread block needs {wpb} warps, more than the "
-            f"{tables.max_warps_per_sm} an SM can hold"
-        )
+    # estimate_kernel_time(): the block must fit on an SM.
+    warps_per_block(gpu, block)
 
 
 def _value_for(machine, case, grid: int, block: int, v: int, name: str,
@@ -215,18 +211,18 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
     ).observe(n)
     if n == 0:
         return []
-    tables = tables_for(machine)
+    gpu = machine.gpu
 
     # -- pass 1: validate in submission order; gather per-point scalars
     # (appended to lists, one array per column after the loop).
     grid_c: List[int] = []
     block_c: List[int] = []
     v_c: List[int] = []
-    elements_c: List[int] = []
+    trip_c: List[int] = []
     input_bytes_c: List[int] = []
     trials_c: List[float] = []
-    erows: list = []
-    rrows: list = []
+    etypes: List[str] = []
+    rtypes: List[str] = []
     from_clause: List[bool] = []
     names: List[str] = []
     ops: List[str] = []
@@ -236,94 +232,49 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
         ops.append(op)
         if trials <= 0:
             raise MeasurementError(f"trials must be positive, got {trials}")
-        g, b, fc, v, name = _resolve_point(machine, tables, case, config, op)
+        g, b, fc, v, name = _resolve_point(machine, gpu, case, config, op)
         arrays = required_arrays(op)
-        _validate_point(tables, case, g, b, arrays)
+        _validate_point(gpu, case, b, arrays)
         grid_c.append(g)
         block_c.append(b)
         v_c.append(v)
-        elements_c.append(case.elements)
+        trip_c.append(case.elements // v)
         from_clause.append(fc)
         names.append(name)
-        erows.append(tables.elements[case.element_type.name])
-        rrows.append(tables.results[case.result_type.name])
+        etypes.append(case.element_type.name)
+        rtypes.append(case.result_type.name)
         # Mirrors kernel.input_bytes: dot streams both operands, so its
         # memory term and bandwidth numerator count both arrays.
         input_bytes_c.append(case.input_bytes * arrays)
         trials_c.append(trials)
-    grid = np.array(grid_c, dtype=np.int64)
-    block = np.array(block_c, dtype=np.int64)
-    v_arr = np.array(v_c, dtype=np.int64)
-    trip = np.array(elements_c, dtype=np.int64) // v_arr
-    esize = np.array([r.size for r in erows], dtype=np.int64)
     input_bytes = np.array(input_bytes_c, dtype=np.float64)
     trials_arr = np.array(trials_c, dtype=np.float64)
-    ceiling = np.array([r.ceiling_gbs for r in erows], dtype=np.float64)
-    elem_issue = np.array([r.elem_issue for r in erows], dtype=np.float64)
-    iter_fixed = np.array([r.iter_fixed for r in erows], dtype=np.float64)
-    inflight = np.array([r.inflight_scale for r in erows], dtype=np.float64)
-    combine = np.array([r.combine_cycles for r in rrows], dtype=np.float64)
-    scalar_motion = np.array([r.scalar_motion_s for r in rrows],
-                             dtype=np.float64)
 
-    # -- pass 2: the kernel-time model, vectorized.  Each line mirrors
-    # the corresponding scalar expression's operation order exactly.
-    cal = tables.calibration
-    wpb, bps, active_warps = tables.occupancy_arrays(grid, block)
+    # -- pass 2: the kernel-time model over the whole slab.
+    total = kernel_times(
+        gpu, machine.calibration, grid_c, block_c, v_c, trip_c, input_bytes,
+        etypes, rtypes,
+    ).total
 
-    # Memory term (Little's law vs the DRAM ceiling).
-    raw = tables.warp_size * v_arr * esize
-    per_warp = (
-        np.minimum(raw.astype(np.float64), cal.warp_inflight_cap_bytes)
-        * cal.mlp_scale
-        * inflight
-    )
-    concurrency = (
-        active_warps.astype(np.float64) * per_warp / tables.latency_s / 1e9
-    )
-    bw = np.minimum(ceiling, concurrency)
-    memory_time = input_bytes / (bw * 1e9)
-
-    # Issue term.
-    v_f = v_arr.astype(np.float64)
-    insts_per_iter = tables.loop_overhead + iter_fixed + v_f * elem_issue
-    warp_insts = trip.astype(np.float64) * insts_per_iter / tables.warp_size
-    issue_time = warp_insts / tables.issue_denom
-
-    # Block-latency term.
-    chain_per_iter = tables.latency_cycles + v_f * elem_issue
-    total_threads = (grid * block).astype(np.float64)
-    avg_iterations = np.maximum(1.0, trip.astype(np.float64) / total_threads)
-    block_cycles = (
-        tables.block_setup + avg_iterations * chain_per_iter + combine
-    )
-    slots = tables.sms * bps
-    blocks_per_slot = -(-grid // slots)
-    block_latency = (
-        blocks_per_slot.astype(np.float64) * block_cycles / tables.clock_hz
-    )
-
-    # TREE strategy: no global atomics; total = launch + max(body terms).
-    body = np.maximum(np.maximum(memory_time, issue_time), block_latency)
-    total = tables.launch_s + np.maximum(body, 0.0)
-
-    # Listing 6: per-trial `target update to/from` of the R scalar.
-    trial_seconds = scalar_motion + total
+    # Listing 6: per-trial `target update to/from` of the R scalar (a
+    # bulk copy, which no page size enters).
+    copy_s = MigrationEngine(machine.link, page_bytes=1).bulk_copy_seconds
+    [copy] = gather_by_type(rtypes, lambda rtype: copy_s(rtype.size))
+    trial_seconds = (copy + copy) + total
     elapsed = trials_arr * trial_seconds
     bandwidth = input_bytes * trials_arr / 1e9 / elapsed
 
     # -- pass 3: launch trace (submission order, like the serial loop).
-    # Python scalars via tolist(): the same values as per-element int()
-    # and float() conversions, without a NumPy scalar per read.
-    grid_l, block_l, v_l = grid.tolist(), block.tolist(), v_arr.tolist()
+    # Python floats via tolist(): the same values as per-element float()
+    # conversions, without a NumPy scalar per read.
     record_launch = machine.trace.record_launch
     for i, duration in enumerate(total.tolist()):
         record_launch(
             KernelLaunchRecord(
                 time=0.0,
                 name=names[i],
-                grid=grid_l[i],
-                block=block_l[i],
+                grid=grid_c[i],
+                block=block_c[i],
                 elements=payloads[i][0].elements,
                 from_clause=from_clause[i],
                 duration=duration,
@@ -337,7 +288,7 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
                                           elapsed.tolist())):
         case, verify = payloads[i][0], payloads[i][3]
         do_verify = strict if verify is None else verify
-        value = _value_for(machine, case, grid_l[i], block_l[i], v_l[i],
+        value = _value_for(machine, case, grid_c[i], block_c[i], v_c[i],
                            names[i], do_verify, ops[i])
         records.append(
             {

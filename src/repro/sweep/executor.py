@@ -63,6 +63,7 @@ from ..core.machine import Machine
 from ..core.optimized import KernelConfig
 from ..core.timing import TRIALS, measure_gpu_reduction
 from ..errors import SpecError
+from ..sim.batch import SLAB_POINT_BUCKETS, evaluate_gpu_slab
 from ..telemetry.state import get_telemetry, metrics, span as tele_span
 from .fingerprint import CACHE_VERSION, fingerprint, machine_fingerprint_data
 from .instrumentation import SweepStats
@@ -254,10 +255,7 @@ def _task_gpu_slab(machine: Machine, payload: tuple) -> dict:
     corruption is always detectable at collation, exactly like the
     supervisor's checksum-then-mangle discipline for pickled records.
     """
-    # Imported lazily: repro.sim.batch reaches repro.sweep through the
-    # model tables' fingerprinting, so a module-level import would cycle.
     from ..faults.injector import fire
-    from ..sim.batch import evaluate_gpu_slab
     from . import shm
 
     header = payload[0]
@@ -592,10 +590,6 @@ class SweepExecutor:
         return results
 
     def _compute_slab_serial(self, payloads: List[tuple]) -> List[dict]:
-        # Imported lazily: repro.sim.batch reaches repro.sweep through
-        # the model tables' fingerprinting.
-        from ..sim.batch import evaluate_gpu_slab
-
         if not get_telemetry().enabled:
             return evaluate_gpu_slab(self.machine, payloads)
         with tele_span(
@@ -605,7 +599,6 @@ class SweepExecutor:
 
     def _compute_slab_pool(self, payloads: List[tuple]) -> List[dict]:
         from ..faults.supervisor import failure_record
-        from ..sim.batch import SLAB_POINT_BUCKETS, evaluate_gpu_slab
         from . import shm
 
         pool = self._ensure_pool()

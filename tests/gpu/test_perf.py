@@ -66,19 +66,6 @@ class TestComponents:
         b = estimate_kernel_time(gpu, _kernel(8192, 256, 1 << 30, v=4))
         assert a.launch == b.launch == pytest.approx(4e-6)
 
-    def test_effective_bandwidth_override(self, gpu):
-        k = _kernel(16384, 256, 1 << 30, v=4)
-        fast = estimate_kernel_time(gpu, k)
-        slow = estimate_kernel_time(gpu, k, effective_bandwidth_gbs=100.0)
-        assert slow.memory > fast.memory
-        assert slow.memory == pytest.approx((1 << 30) * 4 / 100e9)
-
-    def test_override_cannot_speed_up(self, gpu):
-        k = _kernel(16384, 256, 1 << 30, v=4)
-        base = estimate_kernel_time(gpu, k)
-        capped = estimate_kernel_time(gpu, k, effective_bandwidth_gbs=1e6)
-        assert capped.memory == base.memory
-
     def test_int8_issue_cost_exceeds_int32(self, gpu):
         k8 = _kernel(2048, 256, 1 << 30, v=32, t=INT8, r=INT64)
         k32 = _kernel(2048, 256, 1 << 30, v=8, t=INT32)

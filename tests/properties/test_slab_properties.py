@@ -2,8 +2,9 @@
 
 The tentpole invariant of the vectorized hot path — for any slab of
 valid ``gpu_point`` payloads drawn from the fuzzer's space (all five
-dtypes, baseline and optimized points, mixed cases, degenerate size-0/1
-slabs), :func:`repro.sim.batch.evaluate_gpu_slab` produces records whose
+dtypes, baseline and optimized points, mixed cases, sums and two-array
+``dot`` points, degenerate size-0/1 slabs) on any of the three machine
+profiles, :func:`repro.sim.batch.evaluate_gpu_slab` produces records whose
 canonical JSON equals the scalar ``_task_gpu_point`` loop's, with the
 scalar oracle running under ``slab=False`` so it cannot share any memo
 with the path under test.
@@ -18,9 +19,7 @@ from repro.sim.batch import evaluate_gpu_slab
 from repro.sweep.executor import _task_gpu_point
 from repro.sweep.fingerprint import canonical_json
 
-# The differential oracle: identical machine profile, slab disabled.
-_SLAB_CONFIG = ReproConfig(functional_elements_cap=1 << 12, slab=True)
-_ORACLE_CONFIG = ReproConfig(functional_elements_cap=1 << 12, slab=False)
+_PROFILES = ("gh200", "v100", "a100")
 
 # The fuzzer's type pairings (verify/fuzzer.py): same-kind, never
 # narrowing, int8 always widening to int64 as in the paper's C2.
@@ -39,7 +38,9 @@ _BASE_ELEMENTS = (1, 2, 3, 17, 255, 256, 1000, 4096)
 
 @st.composite
 def gpu_point_payloads(draw):
-    """One valid ``(case, config, trials, verify)`` payload."""
+    """One valid ``(case, config, trials, verify)`` payload, or its
+    ``dot`` 5-tuple: the identifier that changes the model's inputs, because
+    it streams two arrays."""
     etype, rtype = draw(st.sampled_from(_TYPE_PAIRS))
     if draw(st.booleans()):
         config = None
@@ -61,31 +62,42 @@ def gpu_point_payloads(draw):
     )
     trials = draw(st.sampled_from([1, 5, 20, 200]))
     verify = draw(st.sampled_from([None, False, True]))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return (case, config, trials, verify, "dot")
     return (case, config, trials, verify)
 
 
-def _machines():
-    slab = Machine(config=_SLAB_CONFIG)
+def _machines(profile="gh200"):
+    """The slab machine and its differential oracle: identical profile,
+    slab disabled, so the oracle shares no memo with the path under test."""
+    slab = Machine(config=ReproConfig(
+        functional_elements_cap=1 << 12, slab=True, machine_profile=profile,
+    ))
     oracle = Machine(
         system=slab.system, calibration=slab.calibration,
-        config=_ORACLE_CONFIG,
+        config=ReproConfig(
+            functional_elements_cap=1 << 12, slab=False,
+            machine_profile=profile,
+        ),
     )
     return slab, oracle
 
 
 class TestSlabEqualsScalar:
-    @given(payloads=st.lists(gpu_point_payloads(), min_size=0, max_size=8))
+    @given(payloads=st.lists(gpu_point_payloads(), min_size=0, max_size=8),
+           profile=st.sampled_from(_PROFILES))
     @settings(max_examples=80, deadline=None)
-    def test_records_byte_identical(self, payloads):
-        slab_machine, oracle = _machines()
+    def test_records_byte_identical(self, payloads, profile):
+        slab_machine, oracle = _machines(profile)
         slab_records = evaluate_gpu_slab(slab_machine, payloads)
         oracle_records = [_task_gpu_point(oracle, p) for p in payloads]
         assert canonical_json(slab_records) == canonical_json(oracle_records)
 
-    @given(payloads=st.lists(gpu_point_payloads(), min_size=2, max_size=4))
+    @given(payloads=st.lists(gpu_point_payloads(), min_size=2, max_size=4),
+           profile=st.sampled_from(_PROFILES))
     @settings(max_examples=30, deadline=None)
-    def test_launch_traces_identical(self, payloads):
-        slab_machine, oracle = _machines()
+    def test_launch_traces_identical(self, payloads, profile):
+        slab_machine, oracle = _machines(profile)
         evaluate_gpu_slab(slab_machine, payloads)
         for p in payloads:
             _task_gpu_point(oracle, p)
@@ -94,10 +106,10 @@ class TestSlabEqualsScalar:
             == oracle.trace.kernel_launches
         )
 
-    @given(payload=gpu_point_payloads())
+    @given(payload=gpu_point_payloads(), profile=st.sampled_from(_PROFILES))
     @settings(max_examples=40, deadline=None)
-    def test_singleton_slab(self, payload):
-        slab_machine, oracle = _machines()
+    def test_singleton_slab(self, payload, profile):
+        slab_machine, oracle = _machines(profile)
         [record] = evaluate_gpu_slab(slab_machine, [payload])
         assert canonical_json(record) == canonical_json(
             _task_gpu_point(oracle, payload)
